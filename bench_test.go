@@ -171,7 +171,8 @@ func BenchmarkFig17HybridNOrec(b *testing.B) {
 	}
 }
 
-// ---- Section 8: searches outside transactions ----
+// ---- Section 8: searches outside transactions (implemented by the BST;
+// the (a,b)-tree's flag only turns off immediate recycling) ----
 
 func BenchmarkSec8SearchOutsideTx(b *testing.B) {
 	for _, outside := range []bool{false, true} {
@@ -183,12 +184,12 @@ func BenchmarkSec8SearchOutsideTx(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			runTrialBench(b,
 				func() dict.Dict {
-					return abtree.New(abtree.Config{
+					return bst.New(bst.Config{
 						Algorithm:       engine.AlgThreePath,
 						SearchOutsideTx: outside,
 					})
 				},
-				workload.Config{KeyRange: abKeys, Kind: workload.Light})
+				workload.Config{KeyRange: bstKeys, Kind: workload.Light})
 		})
 	}
 }

@@ -48,8 +48,8 @@ type jsonRow struct {
 	// omitted, so an absent map means an abort-free run.
 	Aborts map[string]uint64 `json:"aborts,omitempty"`
 	// Policy counts the retry policy's actions during the throughput
-	// trial: backoffs, free_retries, capacity_skips, demotions. Zero
-	// counters are omitted.
+	// trial: backoffs, free_retries, capacity_skips, demotions, helps,
+	// busy_skips. Zero counters are omitted.
 	Policy map[string]uint64 `json:"policy,omitempty"`
 	// Extras carries experiment-specific numbers — the JSON counterpart
 	// of the CSV extras column (e.g. the rangeagg rows' walk-vs-aggregate
@@ -92,6 +92,7 @@ func policyMap(ps engine.PolicyStats) map[string]uint64 {
 	put("capacity_skips", ps.CapacitySkips)
 	put("demotions", ps.Demotions)
 	put("helps", ps.Helps)
+	put("busy_skips", ps.BusySkips)
 	return m
 }
 

@@ -512,6 +512,9 @@ func pathUsage(o options) {
 	}
 }
 
+// sec8 compares searches inside and outside transactions. Only the BST
+// implements the Section 8 search; on (a,b)-tree rows the flag merely
+// turns off immediate recycling, so those rows measure that alone.
 func sec8(o options) {
 	n := o.threads[len(o.threads)-1]
 	fmt.Println("# Section 8: searches outside transactions (3-path, light workload)")
@@ -780,7 +783,7 @@ func abortPolicy(o options) {
 		spuriousEvery = 50
 	}
 	fmt.Println("# Abort policy: static vs adaptive retry under three abort profiles (3-path, max threads)")
-	fmt.Println("# extras: profile, policy, ops, aborts_per_op, hw_aborts_per_op, abort_conflict, abort_capacity, abort_explicit, abort_spurious, backoffs, free_retries, capacity_skips, demotions, helps")
+	fmt.Println("# extras: profile, policy, ops, aborts_per_op, hw_aborts_per_op, abort_conflict, abort_capacity, abort_explicit, abort_spurious, backoffs, free_retries, capacity_skips, demotions, helps, busy_skips")
 	profiles := []struct {
 		name string
 		hc   htm.Config
@@ -848,6 +851,7 @@ func abortPolicy(o options) {
 						kv("capacity_skips", "%d", ps.Policy.CapacitySkips),
 						kv("demotions", "%d", ps.Policy.Demotions),
 						kv("helps", "%d", ps.Policy.Helps),
+						kv("busy_skips", "%d", ps.Policy.BusySkips),
 					}}.emit()
 			}
 		}

@@ -216,9 +216,11 @@ type Config struct {
 	// reproduces from the (seed, plan) pair alone. Nil (the default)
 	// compiles every injection check to a single predictable branch.
 	Faults *FaultPlan
-	// SearchOutsideTx enables the Section 8 optimization: operations
-	// locate their target with unsubscribed reads and revalidate inside
-	// the transaction.
+	// SearchOutsideTx enables the Section 8 optimization on the BST:
+	// operations locate their target with unsubscribed reads and
+	// revalidate inside the transaction. The (a,b)-tree does not
+	// implement it: there the flag only turns off immediate recycling of
+	// fast-path removals, and every descent stays subscribed.
 	SearchOutsideTx bool
 
 	// A and B are the (a,b)-tree degree bounds (defaults 6 and 16;
@@ -1068,6 +1070,10 @@ type PolicyStats struct {
 	// other than (or alongside) their announcer; nonzero only with
 	// Config.HelpableFallback.
 	Helps uint64
+	// BusySkips counts 3-path operations that skipped the fast path
+	// because the fallback path was busy when they started, going
+	// straight to the middle path.
+	BusySkips uint64
 }
 
 // AggregateStats counts aggregate-query executions by answer path.
@@ -1140,6 +1146,7 @@ func (t *Tree) Stats() Stats {
 			CapacitySkips: ops.Policy.CapacitySkips,
 			Demotions:     ops.Policy.Demotions,
 			Helps:         ops.Policy.Helps,
+			BusySkips:     ops.Policy.BusySkips,
 		},
 	}
 	for _, p := range []htm.PathKind{htm.PathFast, htm.PathMiddle, htm.PathFallback} {

@@ -167,7 +167,10 @@ type Config struct {
 	HTM htm.Config
 	// Engine overrides attempt budgets and the fallback indicator.
 	Engine engine.Config
-	// SearchOutsideTx enables the Section 8 optimization.
+	// SearchOutsideTx mirrors the BST's Section 8 flag but only turns
+	// off immediate recycling of fast-path removals (as out-of-band
+	// readers would require): searches, range queries and update
+	// descents all keep subscribed reads.
 	SearchOutsideTx bool
 }
 

@@ -15,8 +15,12 @@ func (h *Handle) buildOps() {
 	// Helpable-fallback completion (engine/help.go): the terminal
 	// attempt carries the result and whether the helped update left a
 	// balance violation; the owner runs the fix loop itself after the
-	// engine returns (Insert/Delete below).
+	// engine returns (Insert/Delete below). finish also discards the
+	// owner's attempt state: when a helper completed the descriptor, the
+	// owner's pool still holds its last aborted fast attempt's removals
+	// — nodes still in the tree that the caller's settle would retire.
 	finish := func(val uint64, found, needFix bool) {
+		h.beginAttempt()
 		h.resVal, h.resFound, h.needFix = val, found, needFix
 	}
 	// Locked (TLE) update and fix bodies run the fast-mode code with a
@@ -209,12 +213,13 @@ func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 
 // locateForUpdate runs the search phase for insert/delete, recording
 // the internal nodes below the entry sentinel into h.path (the leaf's
-// ancestors, root child first) for aggregate maintenance. Updates
-// always descend with subscribed reads, even under Section 8
-// (SearchOutsideTx): the recorded path receives aggregate deltas at
+// ancestors, root child first) for aggregate maintenance. The descent
+// is subscribed: the recorded path receives aggregate deltas at
 // commit, so the transaction must be invalidated if any node on it is
 // replaced — exactly what subscription provides. Searches and range
-// queries keep the unsubscribed-search optimization.
+// queries subscribe too; the (a,b)-tree does not implement the Section
+// 8 out-of-band search (Config.SearchOutsideTx only turns off
+// immediate recycling).
 func (t *Tree) locateForUpdate(pr *prims, key uint64) (p, u *Node, uIdx int) {
 	h := pr.h
 	h.path = h.path[:0]

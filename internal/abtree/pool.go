@@ -13,7 +13,9 @@ import (
 //     lvals, header), so a stale transactional reader of a recycled
 //     leaf aborts on the version-advancing Recycle stores. The leaf
 //     flag and the array headers are write-once (pools are segregated
-//     by kind and arrays are allocated at capacity b).
+//     by kind and arrays are allocated at capacity b). Leaves back from
+//     a grace period have no readers and are rebuilt with plain stores,
+//     like internal nodes (nodepool.Provenance).
 //   - Internal nodes always wait out a grace period: their routing-key
 //     array and the length of their child array are plain memory that
 //     reuse rewrites, which is only safe once no reader can hold the
@@ -40,14 +42,18 @@ func (h *Handle) freshNode(leaf bool) *Node {
 }
 
 // newLeaf builds a leaf holding pairs (sorted) from the pool. Only the
-// first len(pairs) entries are (re-)initialized: a stale reader always
-// reads the size cell first, and entries beyond the recycled size keep
-// their old value and version, which is exactly what the reader's
-// snapshot is entitled to see.
+// first len(pairs) entries are (re-)initialized: a reader always reads
+// the size cell first, and entries beyond the new size are never read
+// as content. A stale leaf (recycled immediately) uses version-advancing
+// Recycle stores, so a stale reader aborts on the size cell, and
+// entries beyond the recycled size keep their old value and version —
+// exactly what the reader's snapshot is entitled to see. A reclaimed
+// leaf has no readers and takes plain stores.
 func (h *Handle) newLeaf(pairs []kv) *Node {
 	b := h.t.cfg.B
-	n, recycled := h.pool.Take(true)
-	if recycled {
+	n, prov := h.pool.Take(true)
+	switch prov {
+	case nodepool.Stale:
 		n.hdr.Recycle()
 		n.size.Recycle(uint64(len(pairs)))
 		n.aggSum.Recycle(sumPairs(pairs))
@@ -55,6 +61,10 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 			n.lkeys[i].Recycle(p.k)
 			n.lvals[i].Recycle(p.v)
 		}
+		return n
+	case nodepool.Reclaimed:
+		n.hdr.Reset()
+		initLeafCells(n, pairs)
 		return n
 	}
 	n.lkeys = make([]htm.Word, b)
@@ -64,14 +74,19 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 		n.lvals[i].Bind(h.clk)
 	}
 	n.size.Bind(h.clk)
-	n.size.Init(uint64(len(pairs)))
 	n.aggSum.Bind(h.clk)
+	initLeafCells(n, pairs)
+	return n
+}
+
+// initLeafCells fills a leaf no thread can hold with plain stores.
+func initLeafCells(n *Node, pairs []kv) {
+	n.size.Init(uint64(len(pairs)))
 	n.aggSum.Init(sumPairs(pairs))
 	for i, p := range pairs {
 		n.lkeys[i].Init(p.k)
 		n.lvals[i].Init(p.v)
 	}
-	return n
 }
 
 // newInternal builds an internal node from the pool, reusing the pooled
@@ -79,7 +94,8 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 // only ever reach the pool after a grace period, so no reader holds
 // them here and the plain rewrites are safe.
 func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node {
-	n, recycled := h.pool.Take(false)
+	n, prov := h.pool.Take(false)
+	recycled := prov == nodepool.Reclaimed
 	n.tagged = tagged
 	if recycled && cap(n.keys) >= len(keys) && cap(n.children) >= len(children) {
 		n.hdr.Reset()

@@ -16,7 +16,15 @@ func (h *Handle) buildOps() {
 	t := h.t
 	// finish delivers a helped operation's result into the handle
 	// scratch (shared by both update ops; the bst has no deferred fix).
-	finish := func(val uint64, found, _ bool) { h.resVal, h.resFound = val, found }
+	// It also discards the owner's attempt state: when a helper
+	// completed the descriptor, the owner never ran a help body, so its
+	// pool still holds its last aborted fast attempt's removals — nodes
+	// that are still in the tree, which the caller's settle would
+	// otherwise retire and reuse under live readers.
+	finish := func(val uint64, found, _ bool) {
+		h.beginAttempt()
+		h.resVal, h.resFound = val, found
+	}
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertFast(tx, h) },

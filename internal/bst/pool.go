@@ -11,10 +11,11 @@ import (
 // fast path excludes the fallback path, so every thread that can still
 // hold a reference runs transactionally and aborts on the leaf's
 // version-advancing Recycle stores (the leaf key is a cell for exactly
-// this reason). Internal nodes always wait out a grace period: their
-// routing keys are read with plain loads on the descent hot path
-// (htm.Word.Peek), which is only sound if no reader can ever observe a
-// reuse.
+// this reason). Leaves back from a grace period have no readers and are
+// rebuilt with plain stores. Internal nodes always wait out a grace
+// period: their routing keys are read with plain loads on the descent
+// hot path (htm.Word.Peek), which is only sound if no reader can ever
+// observe a reuse.
 
 // ReclaimStats counts a handle's node-pool activity. Exported for tests
 // and diagnostics.
@@ -35,20 +36,24 @@ func (h *Handle) freshNode(leaf bool) *Node {
 	return n
 }
 
-// newLeaf builds a leaf holding key/val from the pool. Recycled nodes
-// re-initialize their cells with version-advancing stores so stale
-// transactional readers abort; fresh nodes use plain Init (version 0 is
-// readable at any snapshot).
+// newLeaf builds a leaf holding key/val from the pool. A stale leaf
+// (recycled immediately, see nodepool.Provenance) re-initializes its
+// cells with version-advancing stores so stale transactional readers
+// abort; reclaimed and fresh leaves use plain stores (no thread can
+// hold them).
 func (h *Handle) newLeaf(key, val uint64) *Node {
-	n, recycled := h.pool.Take(true)
-	if recycled {
+	n, prov := h.pool.Take(true)
+	switch prov {
+	case nodepool.Stale:
 		n.hdr.Recycle()
 		n.key.Recycle(key)
 		n.val.Recycle(val)
-	} else {
-		n.key.Init(key)
-		n.val.Init(val)
+		return n
+	case nodepool.Reclaimed:
+		n.hdr.Reset()
 	}
+	n.key.Init(key)
+	n.val.Init(val)
 	return n
 }
 
@@ -57,8 +62,8 @@ func (h *Handle) newLeaf(key, val uint64) *Node {
 // thread can still hold them and plain (non-version-advancing) stores
 // re-initialize them.
 func (h *Handle) newInternal(key uint64, left, right *Node) *Node {
-	n, recycled := h.pool.Take(false)
-	if recycled {
+	n, prov := h.pool.Take(false)
+	if prov == nodepool.Reclaimed {
 		n.hdr.Reset()
 	}
 	n.key.Init(key)

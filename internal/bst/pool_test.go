@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"htmtree/internal/engine"
+	"htmtree/internal/htm"
 )
 
 // TestPoolReuseSteadyState: a delete/insert cycle on the fast path must
@@ -91,7 +92,7 @@ func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	h.Delete(20)
 	st := h.ReclaimStats()
 	if st.RetiredFast != mid.RetiredFast {
-		t.Fatalf("RetireFast happened while a fallback-path reader was live: %+v", st)
+		t.Fatalf("immediate recycling happened while a fallback-path reader was live: %+v", st)
 	}
 	if st.RetiredGrace == mid.RetiredGrace {
 		t.Fatal("delete under a live fallback reader retired nothing")
@@ -120,7 +121,7 @@ func TestSearchOutsideTxDisablesFastRecycle(t *testing.T) {
 	}
 	st := h.ReclaimStats()
 	if st.RetiredFast != 0 {
-		t.Fatalf("RetireFast used despite out-of-band searches: %+v", st)
+		t.Fatalf("immediate recycling used despite out-of-band searches: %+v", st)
 	}
 	if st.RetiredGrace == 0 {
 		t.Fatal("deletes retired nothing")
@@ -142,5 +143,99 @@ func TestTwoPathConcNeverFastRecycles(t *testing.T) {
 	}
 	if st := h.ReclaimStats(); st.RetiredFast != 0 {
 		t.Fatalf("2-path-con recycled immediately: %+v", st)
+	}
+}
+
+// staleRead runs one transaction that, after its snapshot is taken,
+// lets mid rebuild n (advancing the clock first, as the removing commit
+// of a real stale reader's leaf does), then reads n's key. It reports
+// whether the read aborted the transaction with a conflict.
+func staleRead(t *testing.T, tr *Tree, n *Node, mid func()) (aborted bool) {
+	t.Helper()
+	var tick htm.Word
+	tick.Bind(tr.tm.Clock())
+	ok, ab := tr.tm.NewThread().Atomic(htm.PathFast, func(tx *htm.Tx) {
+		tick.Set(nil, 1)
+		mid()
+		n.key.GetStable(tx)
+	})
+	if !ok && ab.Cause != htm.CauseConflict {
+		t.Fatalf("reader aborted with %v, want conflict", ab.Cause)
+	}
+	return !ok
+}
+
+// TestStaleLeafRecycledWithAdvancedVersions: a leaf recycled immediately
+// by a fast-path delete is rebuilt with version-advancing stores, so a
+// transaction whose snapshot predates the delete aborts on reading it.
+func TestStaleLeafRecycledWithAdvancedVersions(t *testing.T) {
+	t.Parallel()
+	tr := New(Config{Algorithm: engine.AlgThreePath})
+	h := tr.newHandle()
+	for k := uint64(1); k <= 8; k++ {
+		h.Insert(k, k)
+	}
+	_, _, l := tr.search(nil, 5)
+	before := h.ReclaimStats()
+	aborted := staleRead(t, tr, l, func() {
+		h.Delete(5)      // fast path: l is recycled immediately
+		h.Insert(100, 1) // draws l back out of the pool
+	})
+	if st := h.ReclaimStats(); st.RetiredFast == before.RetiredFast {
+		t.Fatalf("fast-path delete did not recycle immediately: %+v", st)
+	}
+	if l.Key() != 100 {
+		t.Fatalf("recycled leaf holds key %d, want 100 (not reused)", l.Key())
+	}
+	if !aborted {
+		t.Fatal("stale reader read a recycled leaf without aborting")
+	}
+}
+
+// TestReclaimedLeafKeepsVersions: a leaf back from a grace period has no
+// readers, so it is rebuilt with plain stores that leave its version
+// words alone — a transaction that began before the rebuild reads the
+// new content without aborting.
+func TestReclaimedLeafKeepsVersions(t *testing.T) {
+	t.Parallel()
+	tr := New(Config{Algorithm: engine.AlgThreePath})
+	h := tr.newHandle()
+	n := h.freshNode(true)
+	h.pool.Release(n) // its grace period expired
+	if staleRead(t, tr, n, func() {
+		if got := h.newLeaf(7, 70); got != n {
+			t.Error("pool did not hand the reclaimed leaf back out")
+		}
+	}) {
+		t.Fatal("rebuilding a reclaimed leaf advanced its versions")
+	}
+	if n.Key() != 7 {
+		t.Fatalf("reclaimed leaf holds key %d, want 7", n.Key())
+	}
+}
+
+// TestStaleLeafStaysStaleWhenHandedBack: a stale leaf drawn by an
+// attempt that aborts goes back to the pool still stale, so the next
+// attempt that draws it recycles it again rather than rebuilding it
+// with plain stores.
+func TestStaleLeafStaysStaleWhenHandedBack(t *testing.T) {
+	t.Parallel()
+	tr := New(Config{Algorithm: engine.AlgThreePath})
+	h := tr.newHandle()
+	h.Insert(1, 1) // establish the handle's reclamation context
+	l := h.newLeaf(5, 50)
+	h.settle(htm.PathFast) // published
+	h.remove(l)
+	h.settle(htm.PathFast) // removed by a fast-path commit: stale
+	if got := h.newLeaf(6, 60); got != l {
+		t.Fatal("pool did not hand the stale leaf back out")
+	}
+	h.beginAttempt() // the attempt aborted: l returns unpublished
+	if !staleRead(t, tr, l, func() {
+		if got := h.newLeaf(7, 70); got != l {
+			t.Error("pool did not hand the stale leaf out again")
+		}
+	}) {
+		t.Fatal("a handed-back stale leaf was rebuilt without advancing its versions")
 	}
 }

@@ -7,8 +7,9 @@
 //
 // Go's garbage collector makes reclamation optional, so this package is
 // used for node pooling: Retire defers recycling until two epoch
-// advances guarantee no thread still holds a reference, and RetireFast
-// recycles immediately (the 3-path fast-path discipline).
+// advances guarantee no thread still holds a reference. Immediate
+// recycling needs no epoch machinery, so callers apply it themselves
+// (engine.Thread.Retire decides, internal/nodepool keeps such nodes).
 package ebr
 
 import (
@@ -117,17 +118,6 @@ func (t *Thread) Retire(x any) {
 	if t.retires%advanceEvery == 0 {
 		t.tryAdvance()
 	}
-}
-
-// RetireFast recycles x immediately — the Section 9 fast-path rule,
-// sound only when every thread that could still reference x runs
-// transactionally (so a stale access aborts rather than observing the
-// recycled object). The caller asserts that condition; for the 3-path
-// algorithm it holds for nodes removed on the fast path, because the
-// fallback path is excluded while the fast path runs and re-searches
-// from the root afterwards.
-func (t *Thread) RetireFast(x any) {
-	t.free(x)
 }
 
 // drain frees bags whose grace period expired as of epoch e.

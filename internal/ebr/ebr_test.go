@@ -150,18 +150,6 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetireFastImmediate documents the Section 9 fast-path rule.
-func TestRetireFastImmediate(t *testing.T) {
-	t.Parallel()
-	m := New()
-	var p Pool
-	th := m.NewThread(p.Put)
-	th.RetireFast(7)
-	if got := p.Get(); got != 7 {
-		t.Fatalf("RetireFast did not recycle immediately: %v", got)
-	}
-}
-
 // TestActiveReportsSection checks the Active query the helpable
 // fallback's helper guard relies on: a thread is active exactly while
 // it is inside a Begin/End section, through repeated sections, and

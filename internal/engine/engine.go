@@ -398,18 +398,17 @@ func (th *Thread) EnableReclaim(free func(any), nonTxReaders bool) {
 }
 
 // Retire hands a node removed by a completed operation to the thread's
-// reclamation context and reports whether it was recycled immediately.
-// p is the path the removing operation committed on; fastOK asserts
-// that every field of x mutated on reuse is a transactional cell (so a
-// stale transactional reader of a recycled x aborts rather than
-// observing recycled state — structures pass false for nodes carrying
-// reuse-mutable plain fields, which must always wait out a grace
-// period). Nodes removed by fast-path commits recycle immediately when
-// the algorithm's path exclusion allows it (see EnableReclaim);
-// everything else waits two epochs.
+// reclamation context, or reports immediate=true when the caller may
+// recycle it at once. p is the path the removing operation committed
+// on; fastOK asserts that every field of x mutated on reuse is a
+// transactional cell (so a stale transactional reader of a recycled x
+// aborts rather than observing recycled state — structures pass false
+// for nodes carrying reuse-mutable plain fields, which must always wait
+// out a grace period). Nodes removed by fast-path commits recycle
+// immediately when the algorithm's path exclusion allows it (the
+// Section 9 rule; see EnableReclaim); everything else waits two epochs.
 func (th *Thread) Retire(p htm.PathKind, fastOK bool, x any) (immediate bool) {
 	if fastOK && th.fastRecycle && p == htm.PathFast {
-		th.rec.RetireFast(x)
 		return true
 	}
 	th.rec.Retire(x)
@@ -680,12 +679,16 @@ func (th *Thread) run(op Op) htm.PathKind {
 	case AlgThreePath:
 		ind := e.cfg.Indicator
 		site := op.policySite(th)
-		// Fast path: move to the middle path when the policy gives up on
+		// Fast path: only entered when F reads zero outside a
+		// transaction (checking the lock before __TM_begin: an attempt
+		// begun while F != 0 is doomed to an explicit abort). Once
+		// inside, move to the middle path when the policy gives up on
 		// the path (a capacity abort under the adaptive policy — the
 		// transaction cannot fit; hardware reports this via the "retry"
-		// hint bit being clear), immediately if the fallback path is
-		// busy, or after FastLimit attempts.
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true,
+		// hint bit being clear), immediately if the fallback path
+		// becomes busy (the body's subscribed check), or after FastLimit
+		// attempts.
+		if !th.skipFast(site) && !th.fallbackBusy(ind) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true,
 			nil,
 			func(tx *htm.Tx) {
 				if ind.Nonzero(tx) {
@@ -828,6 +831,18 @@ func (th *Thread) skipFast(site *Site) bool {
 		return false
 	}
 	atomic.AddUint64(&th.polstats.Demotions, 1)
+	return true
+}
+
+// fallbackBusy reads the fallback-presence indicator outside any
+// transaction and, when it is nonzero, counts the fast path as skipped:
+// 3-path then goes straight to the middle path instead of beginning a
+// fast transaction whose subscribed check would abort it.
+func (th *Thread) fallbackBusy(ind Indicator) bool {
+	if !ind.Nonzero(nil) {
+		return false
+	}
+	atomic.AddUint64(&th.polstats.BusySkips, 1)
 	return true
 }
 

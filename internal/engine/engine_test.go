@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"htmtree/internal/htm"
+	"htmtree/internal/obs"
 )
 
 // counterOp builds an Op whose every body increments the shared cell c,
@@ -120,29 +122,95 @@ func TestAllAbortsForceFallback(t *testing.T) {
 	}
 }
 
+// lateIndicator is a fallback-presence counter on which an operation
+// arrives right after the first out-of-transaction read: the 3-path
+// pre-check sees F == 0, and the fast transaction begun next reads
+// F != 0 through its subscribed check.
+type lateIndicator struct {
+	counterIndicator
+	depart func()
+}
+
+func (l *lateIndicator) Nonzero(tx *htm.Tx) bool {
+	busy := l.counterIndicator.Nonzero(tx)
+	if tx == nil && l.depart == nil {
+		l.depart = l.Arrive()
+	}
+	return busy
+}
+
 func TestThreePathMovesToMiddleWhenFallbackBusy(t *testing.T) {
 	t.Parallel()
-	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
-	th := e.NewThread(tm.NewThread())
-	var c htm.Word
-	c.Bind(tm.Clock())
+	// runBusy runs one 3-path op with the given indicator on an
+	// observed engine, after an operation arrives on the fallback path
+	// when busy is set, and returns the thread's transaction and policy
+	// counters and the /metrics exposition.
+	runBusy := func(t *testing.T, ind Indicator, busy bool) (htm.Stats, PolicyStats, string) {
+		t.Helper()
+		tm := htm.New(htm.Config{})
+		o := obs.New(obs.Config{})
+		e := New(Config{Algorithm: AlgThreePath, Indicator: ind, Obs: o.Node()}, tm.Clock())
+		th := e.NewThread(tm.NewThread())
+		if busy {
+			defer ind.Arrive()()
+		}
+		var c htm.Word
+		c.Bind(tm.Clock())
+		if p := th.Run(counterOp(&c)); p != htm.PathMiddle {
+			t.Fatalf("completed on %v, want middle while fallback busy", p)
+		}
+		if got := c.Get(nil); got != 1 {
+			t.Fatalf("counter = %d, want 1", got)
+		}
+		hs := th.H.Stats()
+		if hs.Commits[htm.PathMiddle] != 1 {
+			t.Fatalf("middle commits = %d, want 1", hs.Commits[htm.PathMiddle])
+		}
+		var prom strings.Builder
+		if err := o.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		return hs, e.Stats().Policy, prom.String()
+	}
 
-	depart := e.cfg.Indicator.Arrive() // simulate an operation on the fallback path
-	defer depart()
+	t.Run("busy-on-entry", func(t *testing.T) {
+		t.Parallel()
+		// F reads nonzero before the first attempt: no fast transaction
+		// is begun at all.
+		hs, ps, prom := runBusy(t, &counterIndicator{}, true)
+		if n := hs.Commits[htm.PathFast] + hs.TotalAborts(htm.PathFast); n != 0 {
+			t.Fatalf("fast attempts = %d, want 0 (fast path skipped)", n)
+		}
+		if ps.BusySkips != 1 {
+			t.Fatalf("busy skips = %d, want 1", ps.BusySkips)
+		}
+		if want := `htmtree_policy_actions_total{action="busy_skip"} 1`; !strings.Contains(prom, want) {
+			t.Fatalf("/metrics lacks %s:\n%s", want, prom)
+		}
+	})
 
-	if p := th.Run(counterOp(&c)); p != htm.PathMiddle {
-		t.Fatalf("completed on %v, want middle while fallback busy", p)
-	}
-	// The fast path must have been abandoned after exactly one attempt
-	// (it saw F != 0 and moved, rather than waiting).
-	hs := th.H.Stats()
-	if got := hs.Aborts[htm.PathFast][htm.CauseExplicit]; got != 1 {
-		t.Fatalf("fast explicit aborts = %d, want 1 (immediate move to middle)", got)
-	}
-	if hs.Commits[htm.PathMiddle] != 1 {
-		t.Fatalf("middle commits = %d, want 1", hs.Commits[htm.PathMiddle])
-	}
+	t.Run("arrives-in-fast-tx", func(t *testing.T) {
+		t.Parallel()
+		ind := &lateIndicator{}
+		defer func() {
+			if ind.depart != nil {
+				ind.depart()
+			}
+		}()
+		// F turns nonzero after the pre-check: the fast transaction's
+		// subscribed read aborts it, and the op moves to the middle path
+		// after that one attempt rather than spending FastLimit.
+		hs, ps, _ := runBusy(t, ind, false)
+		if got := hs.Aborts[htm.PathFast][htm.CauseExplicit]; got != 1 {
+			t.Fatalf("fast explicit aborts = %d, want 1 (immediate move to middle)", got)
+		}
+		if n := hs.Commits[htm.PathFast] + hs.TotalAborts(htm.PathFast); n != 1 {
+			t.Fatalf("fast attempts = %d, want 1", n)
+		}
+		if ps.BusySkips != 0 {
+			t.Fatalf("busy skips = %d, want 0 (F was zero on entry)", ps.BusySkips)
+		}
+	})
 }
 
 func TestThreePathCapacitySkipsRetries(t *testing.T) {

@@ -29,6 +29,7 @@ var policyActions = []struct {
 	{"capacity_skip", func(s *PolicyStats) *uint64 { return &s.CapacitySkips }},
 	{"demotion", func(s *PolicyStats) *uint64 { return &s.Demotions }},
 	{"help", func(s *PolicyStats) *uint64 { return &s.Helps }},
+	{"busy_skip", func(s *PolicyStats) *uint64 { return &s.BusySkips }},
 }
 
 // registerObs registers the engine's metric families on the node (one

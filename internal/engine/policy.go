@@ -243,6 +243,10 @@ type PolicyStats struct {
 	// Helps counts announced fallback operations this engine's threads
 	// helped complete while blocked (helpable fallback only).
 	Helps uint64
+	// BusySkips counts 3-path operations that went straight to the
+	// middle path because the fallback-presence indicator read nonzero
+	// before the first fast attempt (no doomed fast transaction begun).
+	BusySkips uint64
 }
 
 // Merge adds another snapshot into s.
@@ -252,6 +256,7 @@ func (s *PolicyStats) Merge(o PolicyStats) {
 	s.CapacitySkips += o.CapacitySkips
 	s.Demotions += o.Demotions
 	s.Helps += o.Helps
+	s.BusySkips += o.BusySkips
 }
 
 // addAtomic accumulates a live per-thread accumulator into s using
@@ -262,6 +267,7 @@ func (s *PolicyStats) addAtomic(o *PolicyStats) {
 	s.CapacitySkips += atomic.LoadUint64(&o.CapacitySkips)
 	s.Demotions += atomic.LoadUint64(&o.Demotions)
 	s.Helps += atomic.LoadUint64(&o.Helps)
+	s.BusySkips += atomic.LoadUint64(&o.BusySkips)
 }
 
 // backoffSpin busy-waits for roughly n iterations of register-only

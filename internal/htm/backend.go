@@ -119,10 +119,12 @@ func (simBackend) Name() string { return "sim" }
 func (simBackend) Begin(tx *Tx) { tx.rv = tx.th.tm.clock.Now() }
 
 func (simBackend) Admit(tx *Tx, write bool, n int) {
-	tx.maybeSpurious()
-	limit := tx.th.tm.cfg.ReadCapacity
+	if tx.armed {
+		tx.maybeSpurious()
+	}
+	limit := tx.readCap
 	if write {
-		limit = tx.th.tm.cfg.WriteCapacity
+		limit = tx.writeCap
 	}
 	if n >= limit {
 		tx.abort(CauseCapacity)

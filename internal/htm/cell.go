@@ -124,8 +124,9 @@ func (w *Word) Init(v uint64) { w.val.Store(v) }
 //
 // Recycle must only be called while the node is privately owned (drawn
 // from a pool, not yet republished); non-transactional readers must be
-// excluded by the caller's reclamation discipline (ebr: RetireFast only
-// when every possible reader is transactional).
+// excluded by the caller's reclamation discipline (immediate recycling
+// only when every possible reader is transactional). A node that passed
+// a grace period has no readers at all and needs only Init.
 func (w *Word) Recycle(v uint64) {
 	c := w.clock()
 	acquireNonTx(&w.ver)
@@ -168,7 +169,8 @@ func (w *Word) Get(tx *Tx) uint64 {
 // enclosing node: write-once cells, and cells of pooled nodes that are
 // reused exclusively after a grace period (so no reader — stale or
 // otherwise — can ever observe the rewrite). Cells of nodes that may
-// recycle immediately (ebr.RetireFast) must use GetStable instead.
+// recycle immediately (nodepool's stale leaves) must use GetStable
+// instead.
 func (w *Word) Peek() uint64 { return w.val.Load() }
 
 // GetStable reads a cell whose value is immutable while its enclosing

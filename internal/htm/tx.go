@@ -195,6 +195,16 @@ type Tx struct {
 	reads  []readEntry
 	writes []writeEntry
 	path   PathKind
+
+	// Latched at reset from the TM and thread so the per-access
+	// admission checks read the Tx alone instead of chasing
+	// tx.th.tm.cfg: sim selects the devirtualized simulator admission,
+	// readCap/writeCap are its capacities, lockSpin bounds the wait on a
+	// locked cell, and armed is set when spurious injection or a fault
+	// plan can abort an access (maybeSpurious is skipped otherwise).
+	sim, armed        bool
+	readCap, writeCap int
+	lockSpin          int
 }
 
 // Path returns the execution path label this transaction was started
@@ -207,6 +217,11 @@ func (tx *Tx) reset(path PathKind) {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	tx.path = path
+	tm := tx.th.tm
+	tx.sim = tm.sim
+	tx.armed = tm.cfg.SpuriousEvery != 0 || tx.th.faults != nil
+	tx.readCap, tx.writeCap = tm.cfg.ReadCapacity, tm.cfg.WriteCapacity
+	tx.lockSpin = tm.cfg.LockSpin
 }
 
 // drop forgets the logged accesses of an abandoned attempt. The write
@@ -255,7 +270,6 @@ func (tx *Tx) maybeSpurious() {
 // briefly on locked cells (a commit in flight) and aborting on conflict
 // or snapshot violation.
 func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
-	spin := tx.th.tm.cfg.LockSpin
 	for i := 0; ; i++ {
 		v := ver.Load()
 		if v&lockBit == 0 {
@@ -266,18 +280,21 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 			}
 			return v
 		}
-		if i >= spin {
+		if i >= tx.lockSpin {
 			tx.abort(CauseConflict)
 		}
 	}
 }
 
 // admitRead vets a read-set append with the TM's backend. The simulator
-// is special-cased so the per-access hot path stays devirtualized.
+// is special-cased so the per-access hot path stays devirtualized, and
+// reads only the fields latched at reset.
 func (tx *Tx) admitRead() {
-	if tx.th.tm.sim {
-		tx.maybeSpurious()
-		if len(tx.reads) >= tx.th.tm.cfg.ReadCapacity {
+	if tx.sim {
+		if tx.armed {
+			tx.maybeSpurious()
+		}
+		if len(tx.reads) >= tx.readCap {
 			tx.abort(CauseCapacity)
 		}
 		return
@@ -290,9 +307,11 @@ func (tx *Tx) admitRead() {
 // for an overwrite (which never grows the footprint, so it can only
 // abort spuriously).
 func (tx *Tx) admitWrite(n int) {
-	if tx.th.tm.sim {
-		tx.maybeSpurious()
-		if n >= tx.th.tm.cfg.WriteCapacity {
+	if tx.sim {
+		if tx.armed {
+			tx.maybeSpurious()
+		}
+		if n >= tx.writeCap {
 			tx.abort(CauseCapacity)
 		}
 		return
