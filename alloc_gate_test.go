@@ -1,6 +1,7 @@
 package htmtree_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -213,4 +214,89 @@ func TestAllocGateObservedPointOps(t *testing.T) {
 			t.Errorf("%s: no flight-recorder events recorded", tc.name)
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports bytes: the
+// mean objects and bytes allocated per call of f, measured at
+// GOMAXPROCS 1 after one warm-up call.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestAllocGateBatchCycle gates the batch layer's steady state: a
+// Handle.Batch cycle of 64 point ops on a warmed 8-shard (a,b)-tree —
+// 32 insert/delete pairs, each on a fresh odd key, then Flush, then
+// Wait on every future — allocates at most the one result-slot block
+// per flush (64 pointer-free slots of 16 B). Flush buffers are reused,
+// and a promise waited on only after its batch completed needs no
+// channel, lock or callback state.
+func TestAllocGateBatchCycle(t *testing.T) {
+	tree, err := htmtree.NewShardedABTree(htmtree.Config{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tree.NewHandle()
+	for k := uint64(2); k <= 2*gateKeys; k += 2 {
+		h.Insert(k, k)
+	}
+	ah := h.Batch()
+	var futs [64]htmtree.PointFuture
+	next := uint64(0)
+	cycle := func() {
+		for i := 0; i < len(futs); i += 2 {
+			k := 2*(next%gateKeys) + 1
+			next++
+			futs[i] = ah.Insert(k, k)
+			futs[i+1] = ah.Delete(k)
+		}
+		ah.Flush()
+		for i := range futs {
+			if _, ok := futs[i].Wait(); ok != (i%2 == 1) {
+				t.Fatalf("future %d: ok = %v on a fresh key's insert/delete pair", i, ok)
+			}
+		}
+	}
+	for i := 0; i < gateWarmups; i++ {
+		cycle()
+	}
+	objs, bytes := allocsPerRun(200, cycle)
+	if objs > 1 || bytes > 1600 {
+		t.Errorf("batch cycle: %.2f objects, %.0f B per 64-op cycle, want <= 1 object and <= 1600 B", objs, bytes)
+	}
+}
+
+// TestAllocGateLLXRangeQuery gates the (a,b)-tree's LLX-validated range
+// query walk, the fallback path of every range query too large for a
+// transaction: on the non-HTM template, where every query takes it, a
+// 5000-key RangeQuery into a reused buffer must not allocate (child
+// snapshots live on the stack).
+func TestAllocGateLLXRangeQuery(t *testing.T) {
+	const keys = 5000
+	tree, err := htmtree.NewABTree(htmtree.Config{Algorithm: htmtree.NonHTM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tree.NewHandle()
+	for k := uint64(1); k <= keys; k++ {
+		h.Insert(k, k)
+	}
+	var out []htmtree.KV
+	rq := func() {
+		if out = h.RangeQuery(1, keys+1, out[:0]); len(out) != keys {
+			t.Fatalf("RangeQuery returned %d pairs, want %d", len(out), keys)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		rq()
+	}
+	gateCheck(t, "abtree LLX range query", testing.AllocsPerRun(50, rq))
 }

@@ -959,7 +959,7 @@ func (h *AsyncHandle) Pending() int { return h.p.Pending() }
 // PointFuture is the result of an asynchronous Insert, Delete, or
 // Search. The zero value is invalid; futures come from AsyncHandle.
 type PointFuture struct {
-	p *batch.PointPromise
+	p batch.PointPromise
 }
 
 // Wait blocks until the operation executed and returns its result —

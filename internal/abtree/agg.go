@@ -454,9 +454,8 @@ func aggCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 
 // aggFallback answers the aggregate query with an LLX-validated leaf
 // walk (rqFallback's traversal, accumulating instead of collecting),
-// restarting on any failed LLX. Child snapshots live on the stack up
-// to degree 32, so steady-state queries stay allocation-free at the
-// default b = 16.
+// restarting on any failed LLX (walkLLX keeps child snapshots on the
+// stack, so steady-state queries stay allocation-free).
 func (t *Tree) aggFallback(h *Handle) bool {
 	h.resAgg = dict.Agg{Min: aggEmptyMin, Max: aggEmptyMax}
 	var root *Node
@@ -465,37 +464,5 @@ func (t *Tree) aggFallback(h *Handle) bool {
 	}); st != llxscx.StatusOK {
 		return false
 	}
-	return t.aggWalkLLX(root, h)
-}
-
-func (t *Tree) aggWalkLLX(n *Node, h *Handle) bool {
-	if n.leaf {
-		ok := true
-		if _, st := llxscx.LLX(nil, &n.hdr, func() { aggCollectLeaf(nil, n, h) }); st != llxscx.StatusOK {
-			ok = false
-		}
-		return ok
-	}
-	var arr [32]*Node
-	var snap []*Node
-	if len(n.children) <= len(arr) {
-		snap = arr[:len(n.children)]
-	} else {
-		snap = make([]*Node, len(n.children))
-	}
-	if _, st := llxscx.LLX(nil, &n.hdr, func() {
-		for i := range n.children {
-			snap[i] = n.children[i].Get(nil)
-		}
-	}); st != llxscx.StatusOK {
-		return false
-	}
-	for i, c := range snap {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
-			if !t.aggWalkLLX(c, h) {
-				return false
-			}
-		}
-	}
-	return true
+	return t.walkLLX(root, h, aggCollectLeaf)
 }

@@ -546,20 +546,27 @@ func (t *Tree) rqFallback(h *Handle) bool {
 	}); st != llxscx.StatusOK {
 		return false
 	}
-	return t.rqWalkLLX(root, h)
+	return t.walkLLX(root, h, rqCollectLeaf)
 }
 
-func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
+// walkLLX visits, in key order, every leaf under n whose routing range
+// meets [h.argLo, h.argHi), running visit inside each leaf's LLX; it
+// reports false when any LLX fails. Child snapshots live on the stack up
+// to degree 32, so steady-state walks stay allocation-free at the
+// default b = 16. rqFallback and aggFallback share it.
+func (t *Tree) walkLLX(n *Node, h *Handle, visit func(*htm.Tx, *Node, *Handle)) bool {
 	if n.leaf {
-		ok := true
-		if _, st := llxscx.LLX(nil, &n.hdr, func() { rqCollectLeaf(nil, n, h) }); st != llxscx.StatusOK {
-			ok = false
-		}
-		return ok
+		_, st := llxscx.LLX(nil, &n.hdr, func() { visit(nil, n, h) })
+		return st == llxscx.StatusOK
 	}
+	var arr [32]*Node
 	var snap []*Node
-	if _, st := llxscx.LLX(nil, &n.hdr, func() {
+	if len(n.children) <= len(arr) {
+		snap = arr[:len(n.children)]
+	} else {
 		snap = make([]*Node, len(n.children))
+	}
+	if _, st := llxscx.LLX(nil, &n.hdr, func() {
 		for i := range n.children {
 			snap[i] = n.children[i].Get(nil)
 		}
@@ -568,7 +575,7 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 	}
 	for i, c := range snap {
 		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
-			if !t.rqWalkLLX(c, h) {
+			if !t.walkLLX(c, h, visit) {
 				return false
 			}
 		}

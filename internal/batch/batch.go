@@ -33,6 +33,7 @@
 package batch
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -109,13 +110,18 @@ func (c *Counters) Snapshot() Stats {
 	}
 }
 
-// RangePromise is the future of an asynchronous range query.
-type RangePromise = Promise[[]dict.KV]
-
-// pending is one buffered operation and its promise.
+// pending is one buffered operation and its promise's result slot.
 type pending struct {
 	op dict.BatchOp
-	pr *PointPromise
+	s  *slot
+}
+
+// sortKey orders a flushed group: the op's key, tie-broken by its
+// enqueue index, which is the stable key order the batch contract needs
+// without moving the 48-byte pending entries.
+type sortKey struct {
+	key uint64
+	idx int
 }
 
 // Pipeline buffers asynchronous operations over one dictionary handle.
@@ -133,8 +139,11 @@ type Pipeline struct {
 
 	mu         sync.Mutex
 	pend       []pending
+	spare      []pending      // a drained pend buffer, handed back by finish
+	order      []sortKey      // sort scratch, reused across flushes
 	ops        []dict.BatchOp // execution scratch, reused across flushes
-	slab       []PointPromise // block-allocated promises (one alloc per batch, not per op)
+	slab       []slot         // block-allocated result slots (one alloc per batch, not per op)
+	waiters    map[*slot]*waiter
 	timer      *time.Timer
 	timerArmed bool
 }
@@ -158,13 +167,13 @@ func New(h dict.Handle, cfg Config) *Pipeline {
 // Insert enqueues an asynchronous insert. The promise resolves to the
 // previous value and whether the key already existed, as Handle.Insert
 // would have returned at the operation's place in the batch.
-func (p *Pipeline) Insert(key, val uint64) *PointPromise {
+func (p *Pipeline) Insert(key, val uint64) PointPromise {
 	return p.add(dict.BatchOp{Kind: dict.OpInsert, Key: key, Val: val})
 }
 
 // Delete enqueues an asynchronous delete; the promise resolves to the
 // removed value and whether the key was present.
-func (p *Pipeline) Delete(key uint64) *PointPromise {
+func (p *Pipeline) Delete(key uint64) PointPromise {
 	return p.add(dict.BatchOp{Kind: dict.OpDelete, Key: key})
 }
 
@@ -172,7 +181,7 @@ func (p *Pipeline) Delete(key uint64) *PointPromise {
 // value found and whether the key was present at the operation's place
 // in the batch (a search enqueued after an insert of the same key sees
 // that insert).
-func (p *Pipeline) Search(key uint64) *PointPromise {
+func (p *Pipeline) Search(key uint64) PointPromise {
 	return p.add(dict.BatchOp{Kind: dict.OpSearch, Key: key})
 }
 
@@ -182,7 +191,6 @@ func (p *Pipeline) Search(key uint64) *PointPromise {
 // writes. The query executes before RangeQuery returns; the promise is
 // already completed and exists for API symmetry (OnComplete chains).
 func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
-	pr := newPromise[[]dict.KV](nil)
 	p.mu.Lock()
 	var ready []pending
 	if !p.cfg.RangeNoFlush {
@@ -190,9 +198,8 @@ func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
 	}
 	out := p.h.RangeQuery(lo, hi, nil)
 	p.mu.Unlock()
-	finish(ready)
-	pr.complete(out)
-	return pr
+	p.finish(ready)
+	return &RangePromise{pairs: out}
 }
 
 // Flush executes every buffered operation now and completes its
@@ -202,7 +209,7 @@ func (p *Pipeline) Flush() {
 	p.mu.Lock()
 	ready := p.flushLocked(&p.ctr.explicitF)
 	p.mu.Unlock()
-	finish(ready)
+	p.finish(ready)
 }
 
 // Pending returns the number of buffered, not yet executed operations.
@@ -217,21 +224,18 @@ func (p *Pipeline) Pending() int {
 // not leave operations parked behind a timer that already fired.
 func (p *Pipeline) Close() { p.Flush() }
 
-func (p *Pipeline) add(op dict.BatchOp) *PointPromise {
+func (p *Pipeline) add(op dict.BatchOp) PointPromise {
 	p.mu.Lock()
 	if len(p.slab) == 0 {
-		p.slab = make([]PointPromise, p.cfg.MaxOps)
-		for i := range p.slab {
-			p.slab[i].fl = p
-		}
+		p.slab = make([]slot, p.cfg.MaxOps)
 	}
-	pr := &p.slab[0]
+	pr := PointPromise{s: &p.slab[0], p: p}
 	p.slab = p.slab[1:]
-	p.pend = append(p.pend, pending{op: op, pr: pr})
+	p.pend = append(p.pend, pending{op: op, s: pr.s})
 	if len(p.pend) >= p.cfg.MaxOps {
 		ready := p.flushLocked(&p.ctr.sizeF)
 		p.mu.Unlock()
-		finish(ready)
+		p.finish(ready)
 		return pr
 	}
 	if p.cfg.MaxDelay > 0 && !p.timerArmed {
@@ -258,15 +262,16 @@ func (p *Pipeline) timerFlush() {
 	p.timerArmed = false
 	ready := p.flushLocked(&p.ctr.timerF)
 	p.mu.Unlock()
-	finish(ready)
+	p.finish(ready)
 }
 
 // flushLocked sorts and executes the buffered group under the pipeline
-// lock and hands back the executed entries; the caller completes their
-// promises after unlocking (a completion callback may Wait on another
-// promise of this pipeline, which re-enters the lock). cause is the
-// per-trigger counter to credit; an empty buffer executes nothing and
-// credits nothing.
+// lock and hands back the executed entries, in enqueue order; the
+// caller completes their promises after unlocking (a completion
+// callback may Wait on another promise of this pipeline, which
+// re-enters the lock) and finish returns the buffer for reuse. cause is
+// the per-trigger counter to credit; an empty buffer executes nothing
+// and credits nothing.
 func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
 	if p.timerArmed {
 		p.timer.Stop()
@@ -280,22 +285,28 @@ func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
 	// Promise for the duration.
 	p.cfg.Faults.Hit(fault.PointBatchFlush)
 	ready := p.pend
-	p.pend = make([]pending, 0, p.cfg.MaxOps)
-	// Stable by key: ops on the same key keep enqueue order, which is
-	// what makes the batch's per-op results well-defined.
-	slices.SortStableFunc(ready, func(a, b pending) int {
-		switch {
-		case a.op.Key < b.op.Key:
-			return -1
-		case a.op.Key > b.op.Key:
-			return 1
-		default:
-			return 0
+	// The spare is missing only while another flush's completion is
+	// still running (a MaxDelay timer flush racing the enqueuer).
+	p.pend, p.spare = p.spare, nil
+	if p.pend == nil {
+		p.pend = make([]pending, 0, p.cfg.MaxOps)
+	}
+	// By key, then enqueue index: ops on the same key keep enqueue
+	// order, which is what makes the batch's per-op results
+	// well-defined.
+	order := p.order[:0]
+	for i := range ready {
+		order = append(order, sortKey{ready[i].op.Key, i})
+	}
+	slices.SortFunc(order, func(a, b sortKey) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
+		return a.idx - b.idx
 	})
 	ops := p.ops[:0]
-	for i := range ready {
-		ops = append(ops, ready[i].op)
+	for _, o := range order {
+		ops = append(ops, ready[o.idx].op)
 	}
 	if p.ge != nil {
 		p.ge.ExecGroup(ops)
@@ -304,19 +315,33 @@ func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
 			ops[i].Exec(p.h)
 		}
 	}
-	for i := range ready {
-		ready[i].op = ops[i]
+	for i, o := range order {
+		ready[o.idx].op = ops[i]
 	}
-	p.ops = ops[:0]
+	p.order, p.ops = order[:0], ops[:0]
 	p.ctr.flushes.Add(1)
 	p.ctr.flushedOps.Add(uint64(len(ready)))
 	cause.Add(1)
 	return ready
 }
 
-// finish completes the promises of an executed group.
-func finish(ready []pending) {
-	for i := range ready {
-		ready[i].pr.complete(PointResult{Val: ready[i].op.Out, OK: ready[i].op.OutOK})
+// finish completes the promises of an executed group, then clears the
+// entries (a dead promise must not stay reachable from the pipeline)
+// and hands the buffer back as the next flush's spare.
+func (p *Pipeline) finish(ready []pending) {
+	if ready == nil {
+		return
 	}
+	for i := range ready {
+		e := &ready[i]
+		if e.s.complete(PointResult{Val: e.op.Out, OK: e.op.OutOK}) {
+			p.wake(e.s)
+		}
+	}
+	clear(ready)
+	p.mu.Lock()
+	if p.spare == nil {
+		p.spare = ready[:0]
+	}
+	p.mu.Unlock()
 }

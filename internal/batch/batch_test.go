@@ -2,6 +2,7 @@ package batch
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,7 +94,7 @@ func TestSizeThresholdFlush(t *testing.T) {
 	t.Parallel()
 	ctr := &Counters{}
 	p := New(newFake(), Config{MaxOps: 4, Counters: ctr})
-	var prs []*PointPromise
+	var prs []PointPromise
 	for i := uint64(0); i < 3; i++ {
 		prs = append(prs, p.Insert(i+1, i))
 	}
@@ -246,5 +247,89 @@ func TestOnCompleteAfterCompletionRunsInline(t *testing.T) {
 	pr.OnComplete(func(PointResult) { ran.Store(true) })
 	if !ran.Load() {
 		t.Fatal("OnComplete on a completed promise did not run inline")
+	}
+}
+
+// TestPromiseRaceTimerFlush races MaxDelay timer flushes against an
+// enqueuer that calls Wait, Done and OnComplete on promises whose ops
+// may be buffered, executing on the timer goroutine, or complete. Every
+// op's result identifies it (key i starts at i*7+1, and each op
+// reports that old value), so a Wait or callback that read another
+// slot, or a stale value, fails. Every callback must fire exactly once.
+func TestPromiseRaceTimerFlush(t *testing.T) {
+	t.Parallel()
+	n := 20000
+	if testing.Short() {
+		n = 4000
+	}
+	fh := newFake()
+	for i := 0; i < n; i++ {
+		fh.m[uint64(i)] = uint64(i)*7 + 1
+	}
+	p := New(fh, Config{MaxOps: 16, MaxDelay: 20 * time.Microsecond})
+	want := func(i int) PointResult { return PointResult{Val: uint64(i)*7 + 1, OK: true} }
+	prs := make([]PointPromise, n)
+	fired := make([]atomic.Int32, n)
+	var cbs sync.WaitGroup
+	var bad atomic.Int64
+	onDone := func(i int) func(PointResult) {
+		return func(r PointResult) {
+			if fired[i].Add(1) != 1 || r != want(i) {
+				bad.Add(1)
+			}
+			cbs.Done()
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := uint64(i)
+		switch i % 3 {
+		case 0:
+			prs[i] = p.Search(k)
+		case 1:
+			prs[i] = p.Insert(k, k*7+2)
+		default:
+			prs[i] = p.Delete(k)
+		}
+		if i%2 == 0 {
+			cbs.Add(1)
+			prs[i].OnComplete(onDone(i))
+		}
+		prs[i].Done()
+		if i%5 == 0 {
+			// Spin a little so the timer fires with ops buffered.
+			for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+			}
+		}
+		// Wait on a recent op: it may be buffered (Wait flushes), on a
+		// timer flush in progress (Wait blocks), or complete.
+		if j := i - i%7; i%4 == 3 {
+			if r := prs[j].Wait(); r != want(j) {
+				t.Fatalf("Wait on op %d = %+v, want %+v", j, r, want(j))
+			}
+		}
+	}
+	p.Flush()
+	for i, pr := range prs {
+		if r := pr.Wait(); r != want(i) {
+			t.Fatalf("final Wait on op %d = %+v, want %+v", i, r, want(i))
+		}
+		if r := pr.Wait(); r != want(i) {
+			t.Fatalf("second Wait on op %d = %+v, want %+v", i, r, want(i))
+		}
+	}
+	cbs.Wait()
+	if b := bad.Load(); b != 0 {
+		t.Fatalf("%d callbacks fired twice or with another op's result", b)
+	}
+	for i := 0; i < n; i += 2 {
+		if got := fired[i].Load(); got != 1 {
+			t.Fatalf("callback of op %d fired %d times", i, got)
+		}
+	}
+	p.mu.Lock()
+	left := len(p.waiters)
+	p.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d waiter entries left after every op completed", left)
 	}
 }

@@ -26,6 +26,7 @@
 package obs
 
 import (
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,15 @@ func New(cfg Config) *Obs {
 	o.Node().Gauge("htmtree_uptime_seconds",
 		"Seconds since this tree's observability domain was created.",
 		func(emit Point) { emit(time.Since(o.start).Seconds()) })
+	// Process-wide collector activity, read from runtime/metrics at
+	// scrape time: an allocation-driven GC storm shows here as a fast
+	// cycle rate, with the allocation rate that drives it.
+	o.Node().Counter("htmtree_go_gc_cycles_total",
+		"Completed GC cycles of the whole Go process (runtime/metrics /gc/cycles/total:gc-cycles).",
+		func(emit Point) { emit(goMetric("/gc/cycles/total:gc-cycles")) })
+	o.Node().Counter("htmtree_go_heap_alloc_bytes_total",
+		"Bytes allocated on the heap by the whole Go process (runtime/metrics /gc/heap/allocs:bytes).",
+		func(emit Point) { emit(goMetric("/gc/heap/allocs:bytes")) })
 	o.Node().Gauge("htmtree_recorder_threads",
 		"Flight-recorder threads registered (operation threads plus system recorders).",
 		func(emit Point) {
@@ -115,6 +125,16 @@ func New(cfg Config) *Obs {
 		"Sampled per-operation latency in nanoseconds (every Config.LatencySample-th op per thread).",
 		func(emit HistPoint) { emit(o.LatencySnapshot()) })
 	return o
+}
+
+// goMetric reads one cumulative uint64 runtime/metrics series.
+func goMetric(name string) float64 {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64())
 }
 
 // Start returns the domain's epoch; event timestamps are nanoseconds

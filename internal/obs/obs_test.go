@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -131,6 +132,50 @@ func TestVarsSnapshot(t *testing.T) {
 		t.Fatalf("WriteVars output does not parse: %v", err)
 	}
 }
+
+// TestGoRuntimeSeries checks the process-wide collector series: both
+// appear in /metrics as counters and in /vars, the allocation counter
+// moves with allocation, and the cycle counter with a collection.
+func TestGoRuntimeSeries(t *testing.T) {
+	o := New(Config{})
+	read := func() (cycles, bytes float64) {
+		v := o.Snapshot()
+		c, b := v.Metrics["htmtree_go_gc_cycles_total"], v.Metrics["htmtree_go_heap_alloc_bytes_total"]
+		if len(c) != 1 || len(b) != 1 {
+			t.Fatalf("/vars runtime series: cycles %+v, heap alloc bytes %+v", c, b)
+		}
+		return c[0].Value, b[0].Value
+	}
+	c0, b0 := read()
+	if b0 <= 0 {
+		t.Fatalf("htmtree_go_heap_alloc_bytes_total = %v, want > 0", b0)
+	}
+	sink = make([]byte, 1<<20)
+	runtime.GC()
+	c1, b1 := read()
+	if b1-b0 < 1<<20 {
+		t.Errorf("heap alloc bytes moved %v after a 1 MiB allocation", b1-b0)
+	}
+	if c1 <= c0 {
+		t.Errorf("gc cycles %v -> %v across runtime.GC()", c0, c1)
+	}
+	var b strings.Builder
+	if err := o.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	checkExposition(t, b.String())
+	for _, want := range []string{
+		"# TYPE htmtree_go_gc_cycles_total counter",
+		"# TYPE htmtree_go_heap_alloc_bytes_total counter",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// sink keeps TestGoRuntimeSeries's allocation from being optimized away.
+var sink []byte
 
 func TestEventsChronology(t *testing.T) {
 	o := New(Config{EventSample: 1})

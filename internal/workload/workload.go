@@ -219,7 +219,7 @@ func runBatchedUpdater(h dict.Handle, cfg Config, rng *xrand.State, gen func(*xr
 	type rec struct {
 		k   uint64
 		ins bool
-		pr  *batch.PointPromise
+		pr  batch.PointPromise
 	}
 	recs := make([]rec, 0, cfg.BatchOps)
 	settle := func() {
